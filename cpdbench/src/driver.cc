@@ -1,10 +1,10 @@
 // cpdbench: the benchmark driver. run.py builds it beside cpd_serve and
 // calls one subcommand per step:
-//   cpdbench prepare-graph  --dir D --seed N --users U
-//   cpdbench train          --dir D --iters I --seconds S [--check 1] ...
+//   cpdbench prepare-graph  --dir D --seed N
+//   cpdbench train          --dir D --iters I --seconds S [--check 1] [--dense F] ...
 //   cpdbench serve          --dir D --port P --seed N --seconds S ...
 //   cpdbench ingest         --dir D --port P --seed N --seconds S ...
-//   cpdbench prepare-reload --dir D --seed N --users U
+//   cpdbench prepare-reload --dir D --seed N
 //   cpdbench reload         --dir D --port P --seed N --seconds S ...
 // Every workload subcommand takes --trace 0|1 and --trace_out PATH.
 

@@ -26,10 +26,15 @@
 namespace bench {
 namespace {
 
+// A new user's shape is bench_ingest's: 4 documents, 4 friendships each
+// way, 2 diffusion links per new user. The batch size is assumed, not
+// measured: 20 new users, 0.5% of the 4,000-user graph, so the 15-20
+// batches of a 10 s run grow it by under a tenth and the last batch costs
+// about what the first does.
 constexpr int kNewUsersPerBatch = 20;
-constexpr int kDocsPerNewUser = 6;
+constexpr int kDocsPerNewUser = 4;
 constexpr int kFriendsPerNewUser = 4;
-constexpr int kDiffusionsPerBatch = 10;
+constexpr int kDiffusionsPerBatch = 2 * kNewUsersPerBatch;
 constexpr int kReaders = 1;
 constexpr size_t kWatchedUsers = 200;  // untouched-row sample
 

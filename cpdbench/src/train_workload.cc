@@ -26,6 +26,13 @@
 namespace bench {
 namespace {
 
+// The planted graph of train, serve and ingest, and the training set-up of
+// the train workload (fixed: the paper's scalability claim is read at 4
+// shards on 4 threads).
+constexpr int kGraphUsers = 4000;
+constexpr int kTrainThreads = 4;
+constexpr int kTrainShards = 4;
+
 std::string Join(const cpd::Vocabulary& vocab, const std::vector<cpd::WordId>& words) {
   std::string text;
   for (size_t k = 0; k < words.size(); ++k) {
@@ -99,9 +106,8 @@ std::map<std::string, double> SweepPhaseSeconds(const cpd::obs::TraceRecorder& r
 int PrepareGraph(const Args& args) {
   const std::string dir = args.Str("dir");
   const uint64_t seed = static_cast<uint64_t>(args.Int("seed", 1));
-  const int users = static_cast<int>(args.Int("users", 4000));
   cpd::SynthConfig config = cpd::SynthConfig::TwitterLike();
-  config.num_users = users;
+  config.num_users = kGraphUsers;
   config.seed = seed;
   auto generated = cpd::GenerateSocialGraph(config);
   if (!generated.ok()) {
@@ -167,7 +173,7 @@ int TrainWorkload(const Args& args) {
   const bool traced = args.Int("trace", 0) != 0;
   const double seconds = args.Num("seconds", 0.0);
   const bool check = args.Int("check", 0) != 0;
-  const std::string artifact_path = args.Str("artifact", dir + "/model.cpdb");
+  const std::string artifact_path = dir + "/model.cpdb";
   SpanRecorder spans(traced);
   Outcome outcome;
 
@@ -175,8 +181,8 @@ int TrainWorkload(const Args& args) {
   const size_t num_users = truth_lines.size();
   cpd::CpdConfig config;
   config.em_iterations = static_cast<int>(args.Int("iters", 10));
-  config.num_threads = static_cast<int>(args.Int("threads", 4));
-  config.num_shards = static_cast<int>(args.Int("shards", 4));
+  config.num_threads = kTrainThreads;
+  config.num_shards = kTrainShards;
   if (traced) config.trace_out = dir + "/sweeps.trace.json";
 
   // Each round is what a cpd_train invocation does after argument parsing:
