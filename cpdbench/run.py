@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 cpdbench/run.py --workload serve --seed 1 --seconds 10 --trace 0
+    python3 cpdbench/run.py --workload serve --seed 1 --seconds 15 --trace 0
 
 It builds the `cpd` library, `cpd_serve` and the benchmark driver from the
 checkout's sources into .bench_build/, makes the workload's inputs from the
@@ -12,8 +12,9 @@ its outputs, and prints one JSON result line last on stdout:
 
     {"correct": true, "attempted": N, "failed": F, "metrics": {...}}
 
---trace 0 reports the end-to-end metrics, --trace 1 the per-layer ones (and
-writes the run's spans to .bench_work/traces/<workload>.spans.json).
+--trace 0 reports the end-to-end metrics of BENCHMARK.json, --trace 1 its
+per-layer ones, from a pass of every workload (and writes each pass's spans
+to .bench_work/traces/<workload>.spans.json).
 --selftest builds and runs the benchmark's own tests instead. See README.md.
 """
 
@@ -216,42 +217,110 @@ def quartet(work):
             "--diffusion", os.path.join(work, "diffusion.tsv")]
 
 
-def run_workload(args, work, trace_out, build_s):
+# The manifest's end-to-end metrics are the same on every workload; each
+# stands for one of the workload's own figures (driver name, scale).
+END_TO_END = {
+    "train": {"op_p50_ms": ("train_s", 1e3), "throughput_per_s": ("train_tokens_per_s", 1.0),
+              "rss_mb": ("train_peak_rss_mb", 1.0)},
+    "serve": {"op_p50_ms": ("query_p50_us", 1e-3), "throughput_per_s": ("query_qps", 1.0),
+              "rss_mb": ("serve_anon_rss_mb", 1.0)},
+    "ingest": {"op_p50_ms": ("ingest_batch_ms", 1.0),
+               "throughput_per_s": ("ingest_users_per_s", 1.0),
+               "rss_mb": ("ingest_anon_rss_mb", 1.0)},
+    "reload": {"op_p50_ms": ("reload_ms", 1.0), "throughput_per_s": ("reloads_per_s", 1.0),
+               "rss_mb": ("server_anon_rss_mb", 1.0)},
+}
+
+
+def manifest_metrics(key):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return {m["name"]: m["unit"] for m in json.load(f)[key]}
+
+
+def run_pass(workload, args, work, seconds, trace_out, extra=()):
+    """Sets up and runs one workload; returns the driver's result and the
+    time.monotonic() at which its set-up ended."""
     traced = ["--trace", args.trace] + (["--trace_out", trace_out] if args.trace else [])
-    common = ["--dir", work, "--seed", args.seed, "--seconds", args.seconds] + traced
-    timeout = args.seconds + 150
+    common = ["--dir", work, "--seed", args.seed, "--seconds", seconds] + traced + list(extra)
+    timeout = seconds + 150
     server = None
-    extra = {}
     try:
-        if args.workload == "train":
+        if workload == "train":
             graph_setup(work, args.seed, model=False)
-            setup_s = time.monotonic() - START - build_s
+            setup_end = time.monotonic()
             out = run_step(driver("train", "--iters", TRAIN_ITERS, "--check", 1, *common),
                            timeout, capture=True)
-        elif args.workload in ("serve", "ingest"):
+        elif workload in ("serve", "ingest"):
             graph_setup(work, args.seed, model=True)
             server = Server(work, os.path.join(work, "model.cpdb"), quartet(work))
-            setup_s = time.monotonic() - START - build_s
-            out = run_step(driver(args.workload, "--port", server.port, *common),
-                           timeout, capture=True)
+            setup_end = time.monotonic()
+            out = run_step(driver(workload, "--port", server.port, "--pid", server.proc.pid,
+                                  *common), timeout, capture=True)
         else:
             run_step(driver("prepare-reload", "--dir", work, "--seed", args.seed), 300)
             server = Server(work, os.path.join(work, "a.cpdb"))
-            setup_s = time.monotonic() - START - build_s
+            setup_end = time.monotonic()
             out = run_step(driver("reload", "--port", server.port, "--pid", server.proc.pid,
                                   *common), timeout, capture=True)
         result = result_of(out)
+        metrics = result["metrics"]
         if server is not None:
-            if args.trace:
-                extra["server.startup_s"] = (server.startup_s, "s")
+            metrics["server.startup_s"] = {"value": server.startup_s, "unit": "s"}
             if not server.stop():
                 result["correct"] = False
     finally:
         stop_all()  # newest first: the client, then the server
+    return result, setup_end
+
+
+def run_workload(args, work_of, trace_dir, build_s):
+    """Untraced: the workload, reported as the manifest's end-to-end metrics.
+
+    Traced: every workload's pass, named workload first, because the
+    manifest's per-layer metrics are the same on every workload and each
+    layer is exercised by one of them. attempted and failed are the named
+    workload's, so their share is that of its untraced runs; a failed
+    check in any pass makes the run incorrect.
+    """
     if not args.trace:
-        extra["setup_s"] = (setup_s, "s")
-    for name, (value, unit) in extra.items():
-        result["metrics"][name] = {"value": value, "unit": unit}
+        # setup_s runs from the process's start to the end of the set-up,
+        # less the build (or cmake's up-to-date check), which is not the
+        # program's work.
+        result, setup_end = run_pass(args.workload, args, work_of(args.workload),
+                                     args.seconds, None)
+        setup_s = setup_end - START - build_s
+        wanted = manifest_metrics("end_to_end")
+        figures = result["metrics"]
+        metrics = {"setup_s": {"value": setup_s, "unit": "s"}}
+        for name, (figure, scale) in END_TO_END[args.workload].items():
+            if figure in figures:
+                metrics[name] = {"value": figures[figure]["value"] * scale, "unit": wanted[name]}
+    else:
+        # Each pass measures half the run, so the four stay well within
+        # the time one run may take.
+        seconds = max(2, args.seconds // 2)
+        result, _ = run_pass(args.workload, args, work_of(args.workload), seconds,
+                             os.path.join(trace_dir, args.workload + ".spans.json"))
+        metrics = result["metrics"]
+        for workload in WORKLOADS:
+            if workload == args.workload:
+                continue
+            # Only the reload workload's own runs make its fault reads,
+            # which fail by design.
+            one, _ = run_pass(workload, args, work_of(workload), seconds,
+                              os.path.join(trace_dir, workload + ".spans.json"),
+                              ["--fault_step", 0] if workload == "reload" else [])
+            result["correct"] = result["correct"] and one["correct"]
+            for name, metric in one["metrics"].items():
+                metrics.setdefault(name, metric)
+        wanted = manifest_metrics("per_layer")
+    missing = sorted(set(wanted) - set(metrics))
+    if missing:
+        raise Failure("no figure for %s" % ", ".join(missing))
+    for name, unit in wanted.items():
+        if metrics[name]["unit"] != unit:
+            raise Failure("%s is in %s, BENCHMARK.json says %s" % (name, metrics[name]["unit"], unit))
+    result["metrics"] = {name: metrics[name] for name in wanted}
     return result
 
 
@@ -259,7 +328,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=15)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true",
                         help="build and run the benchmark's own tests")
@@ -268,24 +337,24 @@ def main():
         parser.error("--workload is required")
     signal.signal(signal.SIGTERM, _on_sigterm)
     check_sources()
-    work = None
+    works = []
+
+    def work_of(workload):
+        works.append(os.path.join(WORK_ROOT, "%s-%d" % (workload, os.getpid())))
+        os.makedirs(works[-1])
+        return works[-1]
+
     try:
         if args.selftest:
             build(["cpdbench_selftest"])
             run_step([os.path.join(BUILD, "cpdbench_selftest")], 120)
             return 0
-        # setup_s runs from the process's start to the end of the set-up,
-        # less the build (or cmake's up-to-date check), which is not the
-        # program's work.
         build_start = time.monotonic()
         build(["cpdbench", "cpd_serve"])
         build_s = time.monotonic() - build_start
-        work = os.path.join(WORK_ROOT, "%s-%d" % (args.workload, os.getpid()))
-        os.makedirs(work)
         trace_dir = os.path.join(WORK_ROOT, "traces")
         os.makedirs(trace_dir, exist_ok=True)
-        trace_out = os.path.join(trace_dir, args.workload + ".spans.json")
-        result = run_workload(args, work, trace_out, build_s)
+        result = run_workload(args, work_of, trace_dir, build_s)
         print(json.dumps(result), flush=True)
         return 0
     except Failure as failure:
@@ -296,7 +365,7 @@ def main():
         return 130
     finally:
         stop_all()
-        if work is not None:
+        for work in works:
             shutil.rmtree(work, ignore_errors=True)
 
 
